@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race bench-smoke bench-gemm bench-secular bench-steady bench-batch bench-values bench-audit chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug perfbench-test race bench-smoke bench-gemm bench-secular bench-steady bench-batch bench-values bench-audit chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -17,6 +17,11 @@ test:
 # the violation site instead of being clamp-and-counted.
 test-pooldebug:
 	$(GO) test -tags pooldebug ./internal/pool/
+
+# The benchmark harness is a nested module (replace tridiag => ../), so the
+# root `go test ./...` never reaches its tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -109,4 +114,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race bench-smoke bench-steady bench-batch bench-values chaos chaos-sdc stress stress-cluster
+ci: vet build test test-pooldebug perfbench-test race bench-smoke bench-gemm bench-secular bench-steady bench-batch bench-values bench-audit chaos chaos-sdc stress stress-cluster

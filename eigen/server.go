@@ -450,8 +450,8 @@ func (b *batcher) takeLocked() []*batchReq {
 // EstimateSolveBytes is the admission-control estimate of the pooled
 // workspace one task-flow solve of order n with the given worker count can
 // have checked out at once, in pool size-class bytes (pool.ClassBytes): the
-// root merge's secular matrix, compressed operands, deflated columns and
-// packed GEMM panels, doubled because the concurrently-live lower tree
+// root merge's secular matrix, compressed operands, staged deflated columns
+// and packed GEMM panels, doubled because the concurrently-live lower tree
 // levels sum to at most one more root merge, plus per-worker small scratch.
 // It deliberately over-reserves — the budget bounds the worst case, and the
 // pool accountant reports what solves actually use.
@@ -478,12 +478,13 @@ func poolClassBytes(f int64) int64 {
 }
 
 // estimateMergeBytes is the pooled footprint of one order-n root merge:
-// S (k×k ≤ n²) + Q2Top/Q2Bot (≤ n²/2 each) + Q2Defl (≤ n²) + packed panels
-// (≈ Q2 again). EstimateSolveBytes doubles it for the concurrently-live
-// lower tree levels.
+// S (k×k ≤ n²) + Q2Top/Q2Bot (≤ n²/2 each) + Q2Defl (≤ n²/2: deflated
+// vectors stay in their columns, only the at most min(k, n−k) that sit in
+// the secular block [0, k) are staged) + packed panels (≈ Q2 again).
+// EstimateSolveBytes doubles it for the concurrently-live lower tree levels.
 func estimateMergeBytes(n int) int64 {
 	nn := int64(n) * int64(n)
-	return poolClassBytes(nn) + 2*poolClassBytes(nn/2+1) + poolClassBytes(nn) + 2*poolClassBytes(nn/2+1)
+	return poolClassBytes(nn) + 5*poolClassBytes(nn/2+1)
 }
 
 // EstimateBatchSolveBytes is the admission-control estimate for a coalesced

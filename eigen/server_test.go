@@ -91,13 +91,19 @@ func TestServerQueueFull(t *testing.T) {
 	tri := randomTridiag(rng, 80)
 
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s.Solve(context.Background(), tri, chaosOptions(false))
 		}()
 	}
+	// Admit the two jobs one after the other: a job holds its queue
+	// position until it takes the worker slot, so two simultaneous
+	// submissions would race for the single queue position.
+	submit()
+	waitFor(t, func() bool { return s.Stats().Running == 1 })
+	submit()
 	waitFor(t, func() bool {
 		st := s.Stats()
 		return st.Running == 1 && st.Queued == 1
@@ -301,6 +307,11 @@ func TestServerRetriedDisposition(t *testing.T) {
 // TestServerShutdownGraceful drains a busy server with a generous deadline:
 // every in-flight job finishes normally and appears in the report.
 func TestServerShutdownGraceful(t *testing.T) {
+	// Each solve's Scale task stalls for a bounded 300ms, so the first two
+	// jobs are still running when the other two queue behind them: the
+	// drain snapshot below sees all four in flight, and they still finish.
+	defer faultinject.Disable()
+	faultinject.Enable(10, faultinject.Probe{Class: "Scale", Kind: faultinject.KindDelay, P: 1, Delay: 300 * time.Millisecond})
 	s := NewServer(serverConfig())
 	rng := rand.New(rand.NewSource(10))
 	var wg sync.WaitGroup

@@ -433,17 +433,55 @@ func submitTaskFlow(rt taskRuntime, barrier func() error, n int, d, e []float64,
 		}
 	}
 
+	// SortEigenvectors: the merges leave every deflated vector at its slot,
+	// so the one real column permutation of the solve happens here. The plan
+	// task decomposes the root's sorting permutation into cycles and permutes
+	// d (O(n)); row-strip tasks then apply the cycles to disjoint row ranges
+	// of q in parallel. Small matrices use one strip, folded into the plan
+	// task, so batched small solves submit no extra tasks.
 	root := level[0]
-	rt.Submit("SortEigenvectors", "sort", func() {
-		lapack.SortEigen(n, d, q, ldq, indxq)
+	var plan *lapack.SortPlan
+	planSort := func() {
+		plan = lapack.NewSortPlan(n, d, indxq)
 		if orgnrm != 1 {
 			lapack.Dlascl(n, 1, 1, orgnrm, d, n)
 		}
-		st.count("SortEigenvectors", int64(n)*int64(n))
 		corruptHook("SortEigenvectors", d[:n])
-	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
+	}
+	applyRows := func(r0, r1 int) {
+		buf := pool.Get(r1 - r0)
+		plan.Apply(q, ldq, r0, r1, buf)
+		pool.Put(buf)
+		st.count("SortEigenvectors", int64(plan.Moved())*int64(r1-r0))
+	}
+	nstrips := sortStrips(n, rt.Workers())
+	if nstrips == 1 {
+		rt.Submit("SortEigenvectors", "sort", func() {
+			planSort()
+			applyRows(0, n)
+		}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
+		return nil
+	}
+	// The plan task's ReadWrite on root.hV closes the root merge's gather
+	// group, so the strips (a new Gatherv group) wait for every writer of V.
+	rt.Submit("SortEigenvectors", "sort-plan", planSort, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
+	for s := 0; s < nstrips; s++ {
+		r0, r1 := s*n/nstrips, (s+1)*n/nstrips
+		rt.Submit("SortEigenvectors", fmt.Sprintf("sort-rows[%d:%d]", r0, r1), func() {
+			applyRows(r0, r1)
+		}, quark.Gather(root.hV))
+	}
 	return nil
 }
+
+// sortStrips is the number of row strips the final eigenvector permutation
+// is split into: one per worker for large n (each strip walks every cycle,
+// so strips stay at least sortStripRows tall), one below that.
+func sortStrips(n, workers int) int {
+	return max(min(workers, n/sortStripRows), 1)
+}
+
+const sortStripRows = 512
 
 // adaptivePanelNB picks the submit-time panel width for a merge of width nm:
 // the DAG is matrix independent (submitted before deflation is known), so the
@@ -684,11 +722,11 @@ func submitMerge(rt taskRuntime, parent, left, right *node, lvl int, d, e []floa
 		p := p
 		g0, g1 := p*nb, min((p+1)*nb, nm)
 		rt.SubmitPrio("PermuteV", name("PermuteV", p), prio+prioPermute, func() {
-			ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
-			st.count("PermuteV", int64(g1-g0)*int64(nm))
+			copied := ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
+			st.count("PermuteV", int64(copied))
 			// Corrupt only the first column this panel wrote — the other
 			// panels' regions are being written concurrently.
-			corruptHook("PermuteV", ms.df.PermutedColumn(ms.ws, g0))
+			corruptHook("PermuteV", ms.df.PermutedColumn(ms.ws, g0, g1))
 		}, quark.Read(parent.hV), quark.Gather(hS), quark.ReadWrite(hPerm[p]))
 	}
 
@@ -768,9 +806,10 @@ func submitMerge(rt taskRuntime, parent, left, right *node, lvl int, d, e []floa
 		corruptHook("ReduceW", ms.what)
 	}, quark.ReadWrite(hS))
 
-	// CopyBackDeflated: move deflated vectors to the tail of the parent V.
-	// Runs concurrently with ReduceW/ComputeLocalW (Figure 2), waiting only
-	// for the PermuteV group through the Gatherv-vs-readers rule on hV.
+	// CopyBackDeflated: move the staged deflated vectors into their slots of
+	// the parent V and write every deflated eigenvalue to its slot of d. Runs
+	// concurrently with ReduceW/ComputeLocalW (Figure 2), waiting only for
+	// the PermuteV group through the Gatherv-vs-readers rule on hV.
 	for p := 0; p < npanels; p++ {
 		p := p
 		c0 := p * nb
@@ -782,11 +821,19 @@ func submitMerge(rt taskRuntime, parent, left, right *node, lvl int, d, e []floa
 			if j0 >= j1 {
 				return
 			}
-			ms.df.CopyBackPanel(qq, ldq, dd, ms.ws, j0, j1)
-			st.count("CopyBackDeflated", int64(j1-j0)*int64(nm))
-			// Corrupt this panel's deflated eigenvalues: the trace check in
-			// Dlamrg catches any drift in the merged spectrum.
-			corruptHook("CopyBackDeflated", dd[k+j0:k+j1])
+			copied := ms.df.CopyBackPanel(qq, ldq, dd, ms.ws, j0, j1)
+			st.count("CopyBackDeflated", int64(copied))
+			// Corrupt this panel's largest deflated eigenvalue: the trace
+			// check in Dlamrg catches any drift in the merged spectrum.
+			if faultinject.Active() {
+				s := ms.df.Slot(j0)
+				for j := j0 + 1; j < j1; j++ {
+					if t := ms.df.Slot(j); math.Abs(dd[t]) > math.Abs(dd[s]) {
+						s = t
+					}
+				}
+				faultinject.Corrupt("CopyBackDeflated", dd[s:s+1])
+			}
 		}, acc...)
 	}
 
@@ -897,9 +944,10 @@ func submitMerge(rt taskRuntime, parent, left, right *node, lvl int, d, e []floa
 		}
 	}
 
-	// Dlamrg: build the sorting permutation for the merged spectrum. Its
-	// ReadWrite on the parent d-handle orders it after every eigenvalue
-	// writer of the merge, so this is where the trace invariant is checked.
+	// Dlamrg: build the sorting permutation for the merged spectrum through
+	// the slot map (Deflation.MergeOrder). Its ReadWrite on the parent
+	// d-handle orders it after every eigenvalue writer of the merge, so this
+	// is where the trace invariant is checked.
 	rt.SubmitPrio("Dlamrg", fmt.Sprintf("Dlamrg[%d:%d]", start, start+nm), prio+prioDlamrg, func() {
 		k := ms.df.K
 		corruptHook("Dlamrg", dd)
@@ -912,14 +960,10 @@ func submitMerge(rt taskRuntime, parent, left, right *node, lvl int, d, e []floa
 				panic(terr)
 			}
 		}
-		if k == 0 {
-			for i := 0; i < nm; i++ {
-				ixq[i] = i
-			}
-			return
+		ms.df.MergeOrder(dd, ixq)
+		if k > 0 {
+			st.count("Dlamrg", int64(nm))
 		}
-		lapack.Dlamrg(k, nm-k, dd, 1, -1, ixq)
-		st.count("Dlamrg", int64(nm))
 	}, quark.ReadWrite(parent.hD))
 	return ms
 }

@@ -3,6 +3,7 @@ package lapack
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tridiag/internal/blas"
 	"tridiag/internal/pool"
@@ -22,10 +23,19 @@ const (
 
 // Deflation holds the outcome of the deflation scan for one D&C merge: the
 // size K of the surviving secular problem, the normalized rank-one weight
-// Rho, the secular poles Dlamda and weights W (both ascending), and the
-// permutation that groups the eigenvector columns into the four type classes.
-// It contains no eigenvector data; column movement is done separately (and,
-// in the task-flow solver, per panel) via PermutePanel and friends.
+// Rho, the secular poles Dlamda and weights W (both ascending), the
+// permutation that groups the eigenvector columns into the four type classes,
+// and the slot of every deflated vector. It contains no eigenvector data;
+// column movement is done separately (and, in the task-flow solver, per
+// panel) via PermutePanel and friends.
+//
+// Deflation by slot: UpdateVect overwrites only the window columns [0, K), so
+// a deflated vector whose source column is ≥ K stays where it is — its slot
+// is its own column. Only the deflated vectors sitting in [0, K) move, into
+// the columns ≥ K that non-deflated vectors vacate; there are at most
+// min(K, N−K) of them (Moved/MovedTo). The merged window is therefore not in
+// LAPACK's "secular block, then descending deflated tail" layout: MergeOrder
+// builds the sorting permutation through the slot map instead.
 type Deflation struct {
 	N, N1, K       int
 	Rho            float64
@@ -34,7 +44,9 @@ type Deflation struct {
 	Perm           []int     // len N: grouped position -> source column of Q
 	GroupToSecular []int     // len K: grouped position -> secular index
 	Ctot           [4]int    // column counts per type
-	DeflD          []float64 // len N-K: deflated eigenvalues in final order for d[K:]
+	DeflD          []float64 // len N-K: deflated eigenvalues, descending (ascending when K == 0)
+	Moved          []int     // ascending deflated indices j whose source column Perm[K+j] is < K
+	MovedTo        []int     // the vacated column ≥ K each Moved vector lands in
 }
 
 // C12 returns the number of columns with a nonzero top block (types 1+2).
@@ -227,18 +239,79 @@ func Dlaed2DeflateRot(n, n1 int, d []float64, indxq []int, rho float64, z []floa
 		psm[ct]++
 	}
 
-	// Deflated eigenvalues in their final order (descending).
+	// Deflated eigenvalues in grouped order (descending), and their slots: a
+	// deflated vector in [0, K) moves into the next column ≥ K that a
+	// non-deflated vector vacates.
 	df.DeflD = make([]float64, n-k)
+	free := k
 	for j := 0; j < n-k; j++ {
-		df.DeflD[j] = d[df.Perm[k+j]]
+		js := df.Perm[k+j]
+		df.DeflD[j] = d[js]
+		if js < k {
+			for coltyp[free] == colDeflated {
+				free++
+			}
+			df.Moved = append(df.Moved, j)
+			df.MovedTo = append(df.MovedTo, free)
+			free++
+		}
 	}
 	return df, nil
 }
 
+// Slot returns the merge-window column that holds deflated vector j (grouped
+// position K+j) once the merge is done.
+func (df *Deflation) Slot(j int) int {
+	if m, ok := slices.BinarySearch(df.Moved, j); ok {
+		return df.MovedTo[m]
+	}
+	return df.Perm[df.K+j]
+}
+
+// MergeOrder writes into index (len N) the permutation sorting the merged
+// window ascending: index[i] is the column holding the i-th smallest
+// eigenvalue, read from d (secular values in d[0:K], deflated ones at their
+// slots). It is Dlamrg(K, N−K, d, 1, −1, index) on LAPACK's layout — the
+// secular block ascending, the deflated tail descending — mapped through the
+// slots, including Dlamrg's tie order (the secular value wins a tie), so the
+// sorted eigenpairs are the ones the tail layout would give, bit for bit.
+func (df *Deflation) MergeOrder(d []float64, index []int) {
+	k, n := df.K, df.N
+	if k == 0 {
+		// Everything deflated: nothing moves and DeflD is ascending.
+		copy(index[:n], df.Perm)
+		return
+	}
+	i1, j, m := 0, n-k-1, len(df.Moved)-1
+	for i := 0; i < n; i++ {
+		if j < 0 {
+			index[i] = i1
+			i1++
+			continue
+		}
+		s := df.Perm[k+j]
+		moved := m >= 0 && df.Moved[m] == j
+		if moved {
+			s = df.MovedTo[m]
+		}
+		if i1 < k && d[i1] <= d[s] {
+			index[i] = i1
+			i1++
+			continue
+		}
+		index[i] = s
+		if moved {
+			m--
+		}
+		j--
+	}
+}
+
 // MergeWorkspace holds the compressed eigenvector storage for one merge:
 // Q2Top packs the first n1 rows of the grouped type-1 and type-2 columns,
-// Q2Bot the last n2 rows of the type-2 and type-3 columns, Q2Defl the full
-// deflated columns, and S the k×k secular matrix (delta columns, later
+// Q2Bot the last n2 rows of the type-2 and type-3 columns, Q2Defl stages the
+// full columns of the deflated vectors that move (Deflation.Moved, at most
+// min(K, n−K) of them), and S the k×k secular matrix (delta columns, later
 // overwritten by the updated eigenvectors, as in LAPACK).
 //
 // PackTop/PackBot, when non-nil, hold Q2Top/Q2Bot repacked for the blocked
@@ -247,7 +320,7 @@ func Dlaed2DeflateRot(n, n1 int, d []float64, indxq []int, rho float64, z []floa
 type MergeWorkspace struct {
 	Q2Top   []float64 // n1 × c12
 	Q2Bot   []float64 // n2 × c23
-	Q2Defl  []float64 // n × c4
+	Q2Defl  []float64 // n × len(Moved)
 	S       []float64 // k × k
 	WLoc    []float64 // k, scratch for Gu's product (sequential path)
 	PackTop *blas.PackedA
@@ -264,7 +337,7 @@ func NewMergeWorkspace(df *Deflation) *MergeWorkspace {
 	return &MergeWorkspace{
 		Q2Top:  pool.Get(n1 * df.C12()),
 		Q2Bot:  pool.Get(n2 * df.C23()),
-		Q2Defl: pool.Get(df.N * df.Ctot[colDeflated]),
+		Q2Defl: pool.Get(df.N * len(df.Moved)),
 		S:      pool.Get(max(k*k, 1)),
 		WLoc:   pool.Get(k),
 	}
@@ -306,56 +379,83 @@ func (ws *MergeWorkspace) PooledBytes() int64 {
 }
 
 // PermutePanel copies grouped columns [g0, g1) of q into the compressed
-// workspace (the paper's PermuteV task). Deflated columns land in Q2Defl.
-func (df *Deflation) PermutePanel(q []float64, ldq int, ws *MergeWorkspace, g0, g1 int) {
+// workspace (the paper's PermuteV task) and returns the number of elements
+// copied. Of the deflated columns only the moved ones are staged, into
+// Q2Defl; the rest stay in place.
+func (df *Deflation) PermutePanel(q []float64, ldq int, ws *MergeWorkspace, g0, g1 int) (copied int) {
 	n1 := df.N1
 	n2 := df.N - n1
 	c1 := df.Ctot[colTop]
 	c12 := df.C12()
 	k := df.K
-	for g := g0; g < g1; g++ {
-		js := df.Perm[g]
-		src := q[js*ldq:]
+	for g := g0; g < min(g1, k); g++ {
+		src := q[df.Perm[g]*ldq:]
 		switch {
 		case g < c1:
 			copy(ws.Q2Top[g*n1:g*n1+n1], src[:n1])
+			copied += n1
 		case g < c12:
 			copy(ws.Q2Top[g*n1:g*n1+n1], src[:n1])
 			copy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:n1+n2])
-		case g < k:
-			copy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:n1+n2])
+			copied += n1 + n2
 		default:
-			copy(ws.Q2Defl[(g-k)*df.N:(g-k)*df.N+df.N], src[:df.N])
+			copy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:n1+n2])
+			copied += n2
 		}
 	}
+	n := df.N
+	for m := df.movedFrom(max(g0, k) - k); m < len(df.Moved) && df.Moved[m] < g1-k; m++ {
+		js := df.Perm[k+df.Moved[m]]
+		copy(ws.Q2Defl[m*n:m*n+n], q[js*ldq:js*ldq+n])
+		copied += n
+	}
+	return copied
 }
 
-// PermutedColumn returns the compressed-workspace destination of grouped
-// column g — the region PermutePanel writes for it. Fault-injection hooks use
+// movedFrom returns the index of the first Moved entry ≥ j.
+func (df *Deflation) movedFrom(j int) int {
+	m, _ := slices.BinarySearch(df.Moved, j)
+	return m
+}
+
+// PermutedColumn returns the compressed-workspace destination of the first
+// column of grouped range [g0, g1) that PermutePanel writes, or nil when the
+// range writes none (all of it deflated in place). Fault-injection hooks use
 // it to corrupt exactly the slice one PermuteV panel owns, without racing
 // against concurrent panels writing their own columns. For type-2 columns
 // (split across Q2Top and Q2Bot) the top half is returned.
-func (df *Deflation) PermutedColumn(ws *MergeWorkspace, g int) []float64 {
+func (df *Deflation) PermutedColumn(ws *MergeWorkspace, g0, g1 int) []float64 {
 	n1 := df.N1
 	n2 := df.N - n1
 	c1 := df.Ctot[colTop]
 	switch {
-	case g < df.C12():
-		return ws.Q2Top[g*n1 : g*n1+n1]
-	case g < df.K:
-		return ws.Q2Bot[(g-c1)*n2 : (g-c1)*n2+n2]
-	default:
-		return ws.Q2Defl[(g-df.K)*df.N : (g-df.K)*df.N+df.N]
+	case g0 < df.C12():
+		return ws.Q2Top[g0*n1 : g0*n1+n1]
+	case g0 < df.K:
+		return ws.Q2Bot[(g0-c1)*n2 : (g0-c1)*n2+n2]
 	}
+	if m := df.movedFrom(g0 - df.K); m < len(df.Moved) && df.Moved[m] < g1-df.K {
+		return ws.Q2Defl[m*df.N : m*df.N+df.N]
+	}
+	return nil
 }
 
-// CopyBackPanel writes deflated columns [j0, j1) (relative to the deflated
-// group) back into q at final positions K+j (the paper's CopyBackDeflated
-// task), together with their eigenvalues into d.
-func (df *Deflation) CopyBackPanel(q []float64, ldq int, d []float64, ws *MergeWorkspace, j0, j1 int) {
+// CopyBackPanel finishes deflated vectors [j0, j1) (relative to the deflated
+// group; the paper's CopyBackDeflated task): the moved ones are copied from
+// Q2Defl into their slots, and every eigenvalue is written to d at its slot.
+// It returns the number of eigenvector elements copied.
+func (df *Deflation) CopyBackPanel(q []float64, ldq int, d []float64, ws *MergeWorkspace, j0, j1 int) (copied int) {
 	n := df.N
+	m := df.movedFrom(j0)
 	for j := j0; j < j1; j++ {
-		copy(q[(df.K+j)*ldq:(df.K+j)*ldq+n], ws.Q2Defl[j*n:j*n+n])
-		d[df.K+j] = df.DeflD[j]
+		s := df.Perm[df.K+j]
+		if m < len(df.Moved) && df.Moved[m] == j {
+			s = df.MovedTo[m]
+			copy(q[s*ldq:s*ldq+n], ws.Q2Defl[m*n:m*n+n])
+			copied += n
+			m++
+		}
+		d[s] = df.DeflD[j]
 	}
+	return copied
 }

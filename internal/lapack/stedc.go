@@ -13,9 +13,10 @@ import (
 // d[0:cutpnt]/d[cutpnt:n] with block-diagonal eigenvectors in q are combined
 // through the rank-one modification with weight rho.
 //
-// On exit d[0:k] holds the secular eigenvalues, d[k:n] the deflated ones, q
-// the corresponding eigenvectors, and indxq the permutation sorting d
-// ascending. gemm may be nil (serial) or a parallel substitute.
+// On exit d[0:k] holds the secular eigenvalues, the deflated ones sit at
+// their slots (Deflation.Slot), q holds the corresponding eigenvectors, and
+// indxq the permutation sorting d ascending. gemm may be nil (serial) or a
+// parallel substitute.
 func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho float64, gemm GemmFunc) error {
 	if cutpnt < 1 || cutpnt >= n {
 		return fmt.Errorf("lapack: Dlaed1: invalid cutpnt %d of %d", cutpnt, n)
@@ -33,30 +34,23 @@ func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho f
 	ws := NewMergeWorkspace(df)
 	defer ws.Release()
 	df.PermutePanel(q, ldq, ws, 0, n)
+	df.CopyBackPanel(q, ldq, d, ws, 0, n-df.K)
 
-	if df.K == 0 {
-		df.CopyBackPanel(q, ldq, d, ws, 0, n)
-		for i := 0; i < n; i++ {
-			indxq[i] = i
+	if df.K > 0 {
+		if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
+			return err
 		}
-		return nil
+		for i := range ws.WLoc {
+			ws.WLoc[i] = 1
+		}
+		df.LocalWPanel(ws, ws.WLoc, 0, df.K)
+		what := pool.Get(df.K)
+		defer pool.Put(what)
+		df.FinishW(what, ws.WLoc)
+		df.VectorsPanel(ws, what, 0, df.K)
+		df.UpdatePanel(q, ldq, ws, 0, df.K, gemm)
 	}
-
-	if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
-		return err
-	}
-	for i := range ws.WLoc {
-		ws.WLoc[i] = 1
-	}
-	df.LocalWPanel(ws, ws.WLoc, 0, df.K)
-	what := pool.Get(df.K)
-	defer pool.Put(what)
-	df.FinishW(what, ws.WLoc)
-	df.VectorsPanel(ws, what, 0, df.K)
-	df.CopyBackPanel(q, ldq, d, ws, 0, df.N-df.K)
-	df.UpdatePanel(q, ldq, ws, 0, df.K, gemm)
-
-	Dlamrg(df.K, n-df.K, d, 1, -1, indxq)
+	df.MergeOrder(d, indxq)
 	return nil
 }
 
@@ -213,27 +207,68 @@ func PartitionSizes(n, smlsiz int) []int {
 // former n×n shadow copy, which dominated peak memory for large matrices.
 // indxq is consumed: it holds the identity permutation on return.
 func SortEigen(n int, d []float64, q []float64, ldq int, indxq []int) {
-	col := make([]float64, n)
+	p := NewSortPlan(n, d, indxq)
+	buf := pool.Get(n)
+	p.Apply(q, ldq, 0, n, buf)
+	pool.Put(buf)
+}
+
+// SortPlan is the cycle decomposition of a sorting permutation, so the
+// column permutation can be applied to disjoint row strips of q
+// independently (the task flow's parallel SortEigenvectors).
+type SortPlan struct {
+	cycles []int // concatenated cycles c0, c1, …, cm: column ci receives c(i+1), cm receives c0
+	ends   []int // end offset of each cycle in cycles
+}
+
+// NewSortPlan decomposes indxq (new position i receives old position
+// indxq[i]) into cycles and applies the permutation to d. indxq is consumed:
+// it holds the identity permutation on return. The plan takes O(n) memory.
+func NewSortPlan(n int, d []float64, indxq []int) *SortPlan {
+	p := &SortPlan{cycles: make([]int, 0, n)}
 	for start := 0; start < n; start++ {
 		j := indxq[start]
 		if j == start {
 			continue
 		}
-		// Save the cycle head, then shift each member one step back along
-		// the cycle; indxq[i] = i marks position i as finalized so the
-		// outer scan skips the rest of this cycle.
+		// Shift each member one step back along the cycle; indxq[i] = i
+		// marks position i as finalized so the outer scan skips the rest of
+		// this cycle.
 		dsave := d[start]
-		copy(col, q[start*ldq:start*ldq+n])
 		i := start
+		p.cycles = append(p.cycles, i)
 		for j != start {
 			d[i] = d[j]
-			copy(q[i*ldq:i*ldq+n], q[j*ldq:j*ldq+n])
+			p.cycles = append(p.cycles, j)
 			indxq[i] = i
 			i = j
 			j = indxq[j]
 		}
 		d[i] = dsave
-		copy(q[i*ldq:i*ldq+n], col)
 		indxq[i] = i
+		p.ends = append(p.ends, len(p.cycles))
+	}
+	return p
+}
+
+// Moved returns the number of columns the plan moves.
+func (p *SortPlan) Moved() int { return len(p.cycles) }
+
+// Apply permutes rows [r0, r1) of the columns of q along the plan's cycles.
+// buf is scratch of at least r1-r0 elements. Calls on disjoint row ranges
+// may run concurrently.
+func (p *SortPlan) Apply(q []float64, ldq, r0, r1 int, buf []float64) {
+	buf = buf[:r1-r0]
+	b := 0
+	for _, e := range p.ends {
+		cyc := p.cycles[b:e]
+		b = e
+		copy(buf, q[cyc[0]*ldq+r0:cyc[0]*ldq+r1])
+		for i, src := range cyc[1:] {
+			dst := cyc[i]
+			copy(q[dst*ldq+r0:dst*ldq+r1], q[src*ldq+r0:src*ldq+r1])
+		}
+		last := cyc[len(cyc)-1]
+		copy(q[last*ldq+r0:last*ldq+r1], buf)
 	}
 }
