@@ -33,9 +33,11 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/quark/
 
 # The GEMM kernel benchmarks: the square reference shape, the compressed
-# UpdateVect shapes, and the per-merge packed-operand reuse pattern.
+# UpdateVect shapes, and the per-merge packed-operand reuse pattern. The
+# square shape and the packed panels run once per micro-kernel the host
+# supports (avx512, avx2, generic).
 bench-gemm:
-	$(GO) test -run '^$$' -bench 'Gemm' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Gemm|Dgemm256' -benchtime 1x .
 
 # The secular-phase kernel benchmarks: the SIMD dispatch micro-kernels plus
 # the scalar-vs-SIMD Dlaed4/LocalW/ComputeVect comparison of dcbench secular.

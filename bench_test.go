@@ -216,6 +216,22 @@ func BenchmarkSteqr400(b *testing.B) {
 	}
 }
 
+// forEachGemmKernel runs bench as one sub-benchmark per GEMM micro-kernel
+// (avx512, avx2, generic), so the kernel ladder prints side by side. A
+// kernel the host CPU cannot run is skipped with the reason logged.
+func forEachGemmKernel(b *testing.B, bench func(b *testing.B)) {
+	for _, kernel := range []string{"avx512", "avx2", "generic"} {
+		b.Run(kernel, func(b *testing.B) {
+			restore, ok := blas.ForceKernel(kernel)
+			if !ok {
+				b.Skipf("host CPU cannot run the %s micro-kernel", kernel)
+			}
+			defer restore()
+			bench(b)
+		})
+	}
+}
+
 func BenchmarkDgemm256(b *testing.B) {
 	n := 256
 	rng := rand.New(rand.NewSource(1))
@@ -226,12 +242,13 @@ func BenchmarkDgemm256(b *testing.B) {
 		a[i] = rng.NormFloat64()
 		bb[i] = rng.NormFloat64()
 	}
-	b.SetBytes(int64(8 * n * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blas.Dgemm(false, false, n, n, n, 1, a, n, bb, n, 0, c, n)
-	}
-	b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	forEachGemmKernel(b, func(b *testing.B) {
+		b.SetBytes(int64(8 * n * n))
+		for i := 0; i < b.N; i++ {
+			blas.Dgemm(false, false, n, n, n, 1, a, n, bb, n, 0, c, n)
+		}
+		b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+	})
 }
 
 // benchGemmShape measures one C = A·B shape with the GFLOPS metric.
@@ -292,7 +309,9 @@ func benchGemmPanels(b *testing.B, packed bool) {
 }
 
 func BenchmarkGemmPanelsUnpacked(b *testing.B) { benchGemmPanels(b, false) }
-func BenchmarkGemmPanelsPacked(b *testing.B)   { benchGemmPanels(b, true) }
+func BenchmarkGemmPanelsPacked(b *testing.B) {
+	forEachGemmKernel(b, func(b *testing.B) { benchGemmPanels(b, true) })
+}
 
 func BenchmarkSecularSolve(b *testing.B) {
 	k := 500

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tridiag/internal/blas"
 	"tridiag/internal/testmat"
 )
 
@@ -109,6 +110,35 @@ func TestPathologicalMatrices(t *testing.T) {
 	}
 }
 
+// pathologicalCase is one named input of the pathological suite.
+type pathologicalCase struct {
+	name string
+	tri  Tridiagonal
+}
+
+// pathologicalSuite builds the classic hard cases the audit and the ABFT
+// checksum bound are calibrated against: Wilkinson and glued-Wilkinson
+// clusters, 1e±300 scalings, a tight cluster and a split matrix.
+func pathologicalSuite(rng *rand.Rand) []pathologicalCase {
+	base := randomTridiag(rng, 60)
+	clustered := randomTridiag(rng, 64)
+	for i := range clustered.D {
+		clustered.D[i] = 1
+	}
+	for i := range clustered.E {
+		clustered.E[i] = 1e-13 * float64(i%5+1)
+	}
+	return []pathologicalCase{
+		{"wilkinson-w61", wilkinson(61)},
+		{"glued-wilkinson", gluedWilkinson(4, 21, 1e-6)},
+		{"glued-tight", gluedWilkinson(3, 21, 1e-12)},
+		{"near-overflow", scaled(base, 1e300)},
+		{"near-underflow", scaled(base, 1e-300)},
+		{"clustered-spectrum", clustered},
+		{"zero-offdiagonals", Tridiagonal{D: base.D, E: make([]float64, len(base.E))}},
+	}
+}
+
 // TestAuditPathologicalNoFalsePositives holds the always-on result audit to
 // its contract on the classic hard cases: across every method, worker count
 // and both request classes, the audit must pass every clean solve — a false
@@ -120,27 +150,7 @@ func TestPathologicalMatrices(t *testing.T) {
 // over/underflow), and the tight-cluster case puts every sampled count on
 // the edge of a cluster boundary.
 func TestAuditPathologicalNoFalsePositives(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	base := randomTridiag(rng, 60)
-	clustered := randomTridiag(rng, 64)
-	for i := range clustered.D {
-		clustered.D[i] = 1
-	}
-	for i := range clustered.E {
-		clustered.E[i] = 1e-13 * float64(i%5+1)
-	}
-	cases := []struct {
-		name string
-		tri  Tridiagonal
-	}{
-		{"wilkinson-w61", wilkinson(61)},
-		{"glued-wilkinson", gluedWilkinson(4, 21, 1e-6)},
-		{"glued-tight", gluedWilkinson(3, 21, 1e-12)},
-		{"near-overflow", scaled(base, 1e300)},
-		{"near-underflow", scaled(base, 1e-300)},
-		{"clustered-spectrum", clustered},
-		{"zero-offdiagonals", Tridiagonal{D: base.D, E: make([]float64, len(base.E))}},
-	}
+	cases := pathologicalSuite(rand.New(rand.NewSource(79)))
 	methods := []Method{MethodDC, MethodDCSequential, MethodMRRR, MethodQR}
 	check := func(label string, res *Result, err error) {
 		t.Helper()
@@ -171,6 +181,54 @@ func TestAuditPathologicalNoFalsePositives(t *testing.T) {
 			res, err := Solve(tc.tri, &Options{Workers: w, ValuesOnly: true})
 			check(fmt.Sprintf("%s/values-only/w%d", tc.name, w), res, err)
 		}
+	}
+}
+
+// TestPathologicalEveryGemmKernel runs the pathological suite through the
+// default task-flow solve under each GEMM micro-kernel the host supports
+// (avx512, avx2, generic): the ABFT checksum verification of the packed
+// UpdateVect GEMMs must raise no false positive on any of them, and the
+// Figure 9 residual and orthogonality bars must hold on every kernel path.
+// The generic kernel keeps every GEMM on the unpacked path, so its subtest
+// covers the unchecked fallback.
+func TestPathologicalEveryGemmKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	cases := pathologicalSuite(rng)
+	// Larger members whose merges clear every kernel's packed-path
+	// threshold, so the checksummed GEMMs run on the kernel under test.
+	big := randomTridiag(rng, 300)
+	cases = append(cases,
+		pathologicalCase{"wilkinson-w301", wilkinson(301)},
+		pathologicalCase{"glued-wilkinson-12", gluedWilkinson(12, 21, 1e-6)},
+		pathologicalCase{"glued-tight-10", gluedWilkinson(10, 21, 1e-12)},
+		pathologicalCase{"near-overflow-300", scaled(big, 1e300)},
+		pathologicalCase{"near-underflow-300", scaled(big, 1e-300)},
+	)
+	for _, kernel := range []string{"avx512", "avx2", "generic"} {
+		t.Run(kernel, func(t *testing.T) {
+			restore, ok := blas.ForceKernel(kernel)
+			if !ok {
+				t.Skipf("host CPU cannot run the %s micro-kernel", kernel)
+			}
+			defer restore()
+			for _, tc := range cases {
+				res, err := Solve(tc.tri, &Options{Workers: 4})
+				if err != nil {
+					t.Errorf("%s: %v", tc.name, err)
+					continue
+				}
+				if res.Stats.Tier != "task-flow" || res.Stats.CorruptionsDetected != 0 {
+					t.Errorf("%s: served by tier %q with %d corruptions detected on a clean solve (tier errors %v)",
+						tc.name, res.Stats.Tier, res.Stats.CorruptionsDetected, res.Stats.TierErrors)
+				}
+				if r := Residual(tc.tri, res); r > 1e-13 {
+					t.Errorf("%s: residual %.3e", tc.name, r)
+				}
+				if o := Orthogonality(res); o > 1e-13 {
+					t.Errorf("%s: orthogonality %.3e", tc.name, o)
+				}
+			}
+		})
 	}
 }
 

@@ -59,8 +59,8 @@ type SteadyRecord struct {
 // PerfRecord is the machine-readable performance snapshot emitted by
 // `dcbench perf -json`: the scheduler acceptance numbers (task-flow medians
 // at several worker counts), the GEMM kernel throughput, the UpdateVect
-// pack-reuse counters of the timed solves, and — with -steady N — the
-// steady-state record.
+// pack-reuse counters of the timed solves, the GEMM micro-kernel the host
+// dispatched to, and — with -steady N — the steady-state record.
 type PerfRecord struct {
 	N             int               `json:"n"`
 	Reps          int               `json:"reps"`
@@ -68,6 +68,7 @@ type PerfRecord struct {
 	Steady        *SteadyRecord     `json:"steady,omitempty"`
 	GemmN         int               `json:"gemm_n"`
 	GemmGFLOPS    float64           `json:"gemm_gflops"`
+	GemmKernel    string            `json:"gemm_kernel"`
 	PackHits      int64             `json:"pack_hits"`
 	PackMisses    int64             `json:"pack_misses"`
 	PackedBytes   int64             `json:"packed_bytes"`
@@ -222,8 +223,8 @@ func Perf(cfg *Config) (*PerfRecord, error) {
 			best = g
 		}
 	}
-	rec.GemmN, rec.GemmGFLOPS = gn, best
-	fmt.Fprintf(cfg.out(), "Dgemm %d: %.1f GFLOPS\n", gn, best)
+	rec.GemmN, rec.GemmGFLOPS, rec.GemmKernel = gn, best, blas.Kernel()
+	fmt.Fprintf(cfg.out(), "Dgemm %d: %.1f GFLOPS (%s micro-kernel)\n", gn, best, rec.GemmKernel)
 	return rec, nil
 }
 

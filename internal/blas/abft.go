@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tridiag/internal/pool"
 	"tridiag/internal/simd"
 )
 
@@ -61,29 +60,11 @@ func (e *ChecksumError) Transient() bool { return true }
 func (e *ChecksumError) TaskClass() string { return e.Kernel }
 
 // PackAChecked is PackA plus the ABFT checksum rows: chk[l] = Σ_i op(A)[i,l]
-// and abschk[l] = Σ_i |op(A)[i,l]|, computed once at pack time (O(m·k), the
-// same order as the pack itself) and carried by the PackedA for every
-// subsequent Verify call.
+// and abschk[l] = Σ_i |op(A)[i,l]|, accumulated in the pack pass itself as
+// each value is copied (rows in ascending order, O(m·k) like the copy) and
+// carried by the PackedA for every subsequent Verify call.
 func PackAChecked(transA bool, m, k int, a []float64, lda int) *PackedA {
-	pa := PackA(transA, m, k, a, lda)
-	pa.chk = pool.Get(2 * k)
-	chk, abschk := pa.chk[:k], pa.chk[k:2*k]
-	panels := (m + gemmMR - 1) / gemmMR
-	for l := 0; l < k; l++ {
-		var s, as float64
-		// The packed micro-panels are zero padded past row m, so summing all
-		// panel lanes per k step needs no row masking.
-		for ip := 0; ip < panels; ip++ {
-			base := ip*gemmMR*k + l*gemmMR
-			for r := 0; r < gemmMR; r++ {
-				v := pa.buf[base+r]
-				s += v
-				as += math.Abs(v)
-			}
-		}
-		chk[l], abschk[l] = s, as
-	}
-	return pa
+	return packA(transA, m, k, a, lda, true)
 }
 
 // Checked reports whether the operand carries ABFT checksum rows.

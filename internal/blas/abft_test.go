@@ -9,29 +9,66 @@ import (
 
 // TestPackACheckedVerifyClean: the checksum identity must hold on clean
 // packed multiplies across shapes straddling the micro-tile boundaries,
-// alphas, and badly scaled data — a false positive here would turn healthy
-// UpdateVect panels into pointless recomputes.
+// alphas, and badly scaled data, under every kernel — a false positive here
+// would turn healthy UpdateVect panels into pointless recomputes.
 func TestPackACheckedVerifyClean(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	dims := []struct{ m, n, k int }{
-		{1, 1, 1}, {8, 4, 16}, {7, 3, 5}, {65, 9, 31}, {129, 17, 40}, {140, 19, 127},
-	}
-	for _, d := range dims {
-		for _, alpha := range []float64{1, -0.5, 1e300, 1e-300} {
-			a := randMat(rng, d.m, d.k, d.m)
-			b := randMat(rng, d.k, d.n, d.k)
-			c := make([]float64, d.m*d.n)
-			pa := PackAChecked(false, d.m, d.k, a, d.m)
-			if !pa.Checked() {
-				t.Fatalf("dims %v: PackAChecked produced an unchecked operand", d)
-			}
-			PackedGemm(pa, d.n, alpha, b, d.k, 0, c, d.m)
-			if err := pa.Verify(d.n, alpha, b, d.k, c, d.m, "UpdateVect"); err != nil {
-				t.Errorf("dims %v alpha %g: false positive on clean multiply: %v", d, alpha, err)
-			}
-			pa.Release()
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		dims := []struct{ m, n, k int }{
+			{1, 1, 1}, {8, 4, 16}, {7, 3, 5}, {65, 9, 31}, {129, 17, 40}, {140, 19, 127},
+			{23, 7, 33}, {49, 9, 300}, {145, 17, 257},
 		}
-	}
+		for _, d := range dims {
+			for _, alpha := range []float64{1, -0.5, 1e300, 1e-300} {
+				a := randMat(rng, d.m, d.k, d.m)
+				b := randMat(rng, d.k, d.n, d.k)
+				c := make([]float64, d.m*d.n)
+				pa := PackAChecked(false, d.m, d.k, a, d.m)
+				if !pa.Checked() {
+					t.Fatalf("dims %v: PackAChecked produced an unchecked operand", d)
+				}
+				PackedGemm(pa, d.n, alpha, b, d.k, 0, c, d.m)
+				if err := pa.Verify(d.n, alpha, b, d.k, c, d.m, "UpdateVect"); err != nil {
+					t.Errorf("dims %v alpha %g: false positive on clean multiply: %v", d, alpha, err)
+				}
+				pa.Release()
+			}
+		}
+	})
+}
+
+// TestPackACheckedSumsRowOrder: the checksum rows accumulated during the
+// pack pass must equal, bit for bit, the plain ascending-row sums of op(A)
+// for both transpose modes and every kernel's panel height.
+func TestPackACheckedSumsRowOrder(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(34))
+		for _, d := range []struct{ m, k int }{{1, 1}, {23, 9}, {49, 33}, {145, 70}} {
+			for _, ta := range []bool{false, true} {
+				lda := d.m + 2
+				a := randMat(rng, d.m, d.k, lda)
+				at := func(i, l int) float64 { return a[i+l*lda] }
+				if ta {
+					lda = d.k + 1
+					a = randMat(rng, d.k, d.m, lda)
+					at = func(i, l int) float64 { return a[l+i*lda] }
+				}
+				pa := PackAChecked(ta, d.m, d.k, a, lda)
+				for l := 0; l < d.k; l++ {
+					var s, as float64
+					for i := 0; i < d.m; i++ {
+						s += at(i, l)
+						as += math.Abs(at(i, l))
+					}
+					if pa.chk[l] != s || pa.chk[d.k+l] != as {
+						t.Fatalf("m=%d k=%d ta=%v column %d: checksums (%v, %v), row-order sums (%v, %v)",
+							d.m, d.k, ta, l, pa.chk[l], pa.chk[d.k+l], s, as)
+					}
+				}
+				pa.Release()
+			}
+		}
+	})
 }
 
 // TestVerifyCatchesOutputFlip: a single flipped exponent bit anywhere in the

@@ -1,29 +1,32 @@
 package blas
 
-import "tridiag/internal/pool"
+import (
+	"math"
 
-// Cache-blocking parameters of the BLIS-style GEMM (see DESIGN.md §9).
-// The micro-kernel computes an MR×NR tile of C; the macro loops tile the
-// operands so one packed A block (MC×KC, 256 KiB) stays L2-resident while a
-// packed B block (KC×NC, ≤1 MiB) streams from L3, and every inner-loop
-// access is contiguous.
-const (
-	gemmMR = 8   // micro-tile rows (one asm kernel call covers 8×4 of C)
-	gemmNR = 4   // micro-tile columns
-	gemmMC = 128 // rows per A block; multiple of gemmMR
-	gemmKC = 256 // depth per block
-	gemmNC = 512 // columns per B block; multiple of gemmNR
+	"tridiag/internal/pool"
 )
 
-// PackedA is op(A) repacked for the blocked GEMM: row micro-panels of
-// gemmMR rows, each storing its gemmMR values per k step contiguously
-// (zero padded past row m), so the micro-kernel streams A at unit stride.
-// A PackedA may be shared by any number of concurrent PackedGemm calls —
-// the paper's UpdateVect task group packs Q2 once per merge and lets all
-// panel GEMMs of the merge reuse it.
+// Cache-blocking parameters of the BLIS-style GEMM shared by every kernel
+// (see DESIGN.md §9); the micro-tile and the A block height belong to the
+// kernel (ukernel). The macro loops tile the operands so one packed A block
+// (mc×KC) stays L2-resident while a packed B block (KC×NC, ≤1 MiB) streams
+// from L3, and every inner-loop access is contiguous. KC is the same for
+// all kernels so they sum each C element in the same order.
+const (
+	gemmKC = 256 // depth per block
+	gemmNC = 512 // columns per B block; a multiple of every kernel's nr
+)
+
+// PackedA is op(A) repacked for the blocked GEMM: row micro-panels of mr
+// rows (the tile height of the kernel it was packed for), each storing its
+// mr values per k step contiguously (zero padded past row m), so the
+// micro-kernel streams A at unit stride. A PackedA may be shared by any
+// number of concurrent PackedGemm calls — the paper's UpdateVect task group
+// packs Q2 once per merge and lets all panel GEMMs of the merge reuse it.
 type PackedA struct {
+	kern *ukernel
 	m, k int
-	buf  []float64 // ceil(m/MR) panels × k steps × MR values
+	buf  []float64 // ceil(m/mr) panels × k steps × mr values
 	// chk, when non-nil, holds the ABFT checksum rows of the operand
 	// (PackAChecked): chk[0:k] the column sums, chk[k:2k] the absolute
 	// column sums the Verify rounding bound is built from.
@@ -34,34 +37,63 @@ type PackedA struct {
 // The buffer comes from the scratch pool; call Release when no GEMM will
 // use it again.
 func PackA(transA bool, m, k int, a []float64, lda int) *PackedA {
-	panels := (m + gemmMR - 1) / gemmMR
-	pa := &PackedA{m: m, k: k, buf: pool.Get(panels * gemmMR * k)}
+	return packA(transA, m, k, a, lda, false)
+}
+
+// packA packs op(A) for the active kernel. With checked it also
+// accumulates the ABFT checksum rows while each value is copied, adding rows
+// in ascending order per column l — the order a row-by-row sum of op(A)
+// would use.
+func packA(transA bool, m, k int, a []float64, lda int, checked bool) *PackedA {
+	uk := activeKernel.Load()
+	mr := uk.mr
+	panels := (m + mr - 1) / mr
+	pa := &PackedA{kern: uk, m: m, k: k, buf: pool.Get(panels * mr * k)}
+	var chk, abschk []float64
+	if checked {
+		pa.chk = pool.Get(2 * k)
+		clear(pa.chk)
+		chk, abschk = pa.chk[:k], pa.chk[k:2*k]
+	}
 	for ip := 0; ip < panels; ip++ {
-		i0 := ip * gemmMR
-		rows := min(gemmMR, m-i0)
-		dst := pa.buf[ip*gemmMR*k:]
+		i0 := ip * mr
+		rows := min(mr, m-i0)
+		dst := pa.buf[ip*mr*k:]
 		if !transA {
-			// op(A)[i, l] = a[i + l*lda]: column slices copy contiguously.
+			// op(A)[i, l] = a[i + l*lda]: column slices copy contiguously,
+			// and the checksum rows sum each slice as it is copied.
 			for l := 0; l < k; l++ {
 				src := a[i0+l*lda : i0+l*lda+rows]
-				d := dst[l*gemmMR : l*gemmMR+gemmMR]
+				d := dst[l*mr : l*mr+mr]
 				copy(d, src)
-				for r := rows; r < gemmMR; r++ {
-					d[r] = 0
+				if rows < mr {
+					clear(d[rows:])
+				}
+				if checked {
+					s, as := chk[l], abschk[l]
+					for _, v := range src {
+						s += v
+						as += math.Abs(v)
+					}
+					chk[l], abschk[l] = s, as
 				}
 			}
 		} else {
 			// op(A)[i, l] = a[l + i*lda]: rows of op(A) are source columns.
 			for r := 0; r < rows; r++ {
 				src := a[(i0+r)*lda : (i0+r)*lda+k]
-				for l := 0; l < k; l++ {
-					dst[l*gemmMR+r] = src[l]
+				for l, v := range src {
+					dst[l*mr+r] = v
+				}
+				if checked {
+					for l, v := range src {
+						chk[l] += v
+						abschk[l] += math.Abs(v)
+					}
 				}
 			}
-			for r := rows; r < gemmMR; r++ {
-				for l := 0; l < k; l++ {
-					dst[l*gemmMR+r] = 0
-				}
+			for l := 0; l < k; l++ {
+				clear(dst[l*mr+rows : l*mr+mr])
 			}
 		}
 	}
@@ -89,33 +121,44 @@ func (pa *PackedA) Release() {
 	pa.chk = nil
 }
 
-// packB packs op(B)(pc:pc+kb, jc:jc+nb) into column micro-panels of gemmNR
-// columns, each storing its gemmNR values per k step contiguously (zero
-// padded past column nb), into buf (ceil(nb/NR)*NR*kb floats).
-func packB(transB bool, pc, jc, kb, nb int, b []float64, ldb int, buf []float64) {
-	panels := (nb + gemmNR - 1) / gemmNR
+// packB packs op(B)(pc:pc+kb, jc:jc+nb) into column micro-panels of nr
+// columns, each storing its nr values per k step contiguously (zero padded
+// past column nb), into buf (ceil(nb/nr)*nr*kb floats).
+func packB(nr int, transB bool, pc, jc, kb, nb int, b []float64, ldb int, buf []float64) {
+	panels := (nb + nr - 1) / nr
 	for jp := 0; jp < panels; jp++ {
-		j0 := jp * gemmNR
-		cols := min(gemmNR, nb-j0)
-		dst := buf[jp*gemmNR*kb:]
+		j0 := jp * nr
+		cols := min(nr, nb-j0)
+		dst := buf[jp*nr*kb:]
 		if !transB {
-			// op(B)[l, j] = b[l + j*ldb]: source columns are contiguous.
+			// op(B)[l, j] = b[l + j*ldb]: source columns are contiguous and
+			// scatter at stride nr, four k steps per iteration (a plain
+			// one-store loop measured 2× slower with the stride a variable).
 			for jj := 0; jj < cols; jj++ {
 				src := b[pc+(jc+j0+jj)*ldb : pc+(jc+j0+jj)*ldb+kb]
-				for l, v := range src {
-					dst[l*gemmNR+jj] = v
+				d := dst[jj : jj+(kb-1)*nr+1]
+				l, o := 0, 0
+				for ; l+4 <= kb; l, o = l+4, o+4*nr {
+					s := src[l : l+4 : l+4]
+					d[o] = s[0]
+					d[o+nr] = s[1]
+					d[o+2*nr] = s[2]
+					d[o+3*nr] = s[3]
+				}
+				for ; l < kb; l, o = l+1, o+nr {
+					d[o] = src[l]
 				}
 			}
 		} else {
 			// op(B)[l, j] = b[j + l*ldb]: source rows are contiguous.
 			for l := 0; l < kb; l++ {
 				src := b[jc+j0+(pc+l)*ldb : jc+j0+(pc+l)*ldb+cols]
-				copy(dst[l*gemmNR:l*gemmNR+cols], src)
+				copy(dst[l*nr:l*nr+cols], src)
 			}
 		}
-		for jj := cols; jj < gemmNR; jj++ {
+		if cols < nr {
 			for l := 0; l < kb; l++ {
-				dst[l*gemmNR+jj] = 0
+				clear(dst[l*nr+cols : l*nr+nr])
 			}
 		}
 	}

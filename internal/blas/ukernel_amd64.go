@@ -2,43 +2,29 @@
 
 package blas
 
-// cpuidProbe and xgetbvProbe are implemented in ukernel_amd64.s.
-func cpuidProbe(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbvProbe() (eax, edx uint32)
+// ukernel24x8avx512 is the AVX-512 register micro-kernel (ukernel_amd64.s):
+// C(0:mr, 0:nr) += alpha * Ap·Bp over kc packed k steps of a 24×8 tile,
+// with the row edge handled by opmask-masked C loads and stores and the
+// column edge by a column count, so partial tiles run in the same kernel.
+// Requires 1 <= mr <= 24, 1 <= nr <= 8 and kc >= 1.
+//
+//go:noescape
+func ukernel24x8avx512(kc int, ap, bp []float64, c []float64, ldc, mr, nr int, alpha float64)
 
 // ukernel8x4avx is the AVX2+FMA register micro-kernel (ukernel_amd64.s):
-// C(0:8, 0:4) += alpha * Ap·Bp over kc packed k steps. Only called when
-// haveAsmKernel is true and the tile is full (edges go through the generic
-// kernel on zero-padded panels).
+// C(0:8, 0:4) += alpha * Ap·Bp over kc packed k steps. Full tiles only.
 //
 //go:noescape
 func ukernel8x4avx(kc int, ap, bp []float64, c []float64, ldc int, alpha float64)
 
-// haveAsmKernel reports whether the AVX2+FMA micro-kernel may be used. The
-// blocked GEMM path is only profitable with it; without it the
-// register-blocked kernels in level3.go already sit at the scalar FP-port
-// ceiling, so Dgemm keeps routing to them.
-var haveAsmKernel = detectAVX2FMA()
-
-// detectAVX2FMA checks CPUID for AVX2 and FMA support and XGETBV for OS
-// ymm-state saving (the standard AVX usability test).
-func detectAVX2FMA() bool {
-	maxID, _, _, _ := cpuidProbe(0, 0)
-	if maxID < 7 {
-		return false
+// tileAVX2 runs full 8×4 tiles through the AVX2 kernel and edge tiles
+// through the generic kernel, which shares its panel geometry (the panels
+// are zero padded, so both compute a full tile and only the store is
+// masked).
+func tileAVX2(kb int, ap, bp, c []float64, ldc, mr, nr int, alpha float64) {
+	if mr == genericMR && nr == genericNR {
+		ukernel8x4avx(kb, ap, bp, c, ldc, alpha)
+		return
 	}
-	_, _, ecx1, _ := cpuidProbe(1, 0)
-	const (
-		fma     = 1 << 12
-		osxsave = 1 << 27
-	)
-	if ecx1&osxsave == 0 || ecx1&fma == 0 {
-		return false
-	}
-	if xa, _ := xgetbvProbe(); xa&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuidProbe(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	ukernelGeneric(kb, ap, bp, c, ldc, mr, nr, alpha)
 }

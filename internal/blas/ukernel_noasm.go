@@ -2,11 +2,13 @@
 
 package blas
 
-// Non-amd64 platforms have no assembly micro-kernel; the blocked GEMM path
-// stays disabled (Dgemm keeps the register-blocked kernels) and the packed
-// entry points run the generic Go micro-kernel.
-var haveAsmKernel = false
+// Non-amd64 platforms have no assembly micro-kernels: the host kernel list
+// holds only the generic kernel, so these are never dispatched to.
 
-func ukernel8x4avx(kc int, ap, bp []float64, c []float64, ldc int, alpha float64) {
-	panic("blas: ukernel8x4avx called without assembly support")
+func ukernel24x8avx512(kc int, ap, bp []float64, c []float64, ldc, mr, nr int, alpha float64) {
+	panic("blas: ukernel24x8avx512 called without assembly support")
+}
+
+func tileAVX2(kb int, ap, bp, c []float64, ldc, mr, nr int, alpha float64) {
+	panic("blas: tileAVX2 called without assembly support")
 }

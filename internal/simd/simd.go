@@ -29,6 +29,11 @@ var active = haveSIMD
 // platform and CPU.
 func Available() bool { return haveSIMD }
 
+// AVX512 reports whether the CPU supports AVX-512 Foundation instructions
+// and the OS saves the opmask and ZMM register state — the gate of
+// internal/blas's 24×8 zmm GEMM micro-kernel.
+func AVX512() bool { return haveAVX512 }
+
 // Active reports whether kernel calls currently dispatch to assembly.
 func Active() bool { return active }
 

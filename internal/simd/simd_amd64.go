@@ -31,8 +31,13 @@ func negSqrtSignAVX(dst, p, sgn []float64)
 
 // haveSIMD reports whether the assembly kernels may be used: AVX2 and FMA in
 // CPUID plus OS ymm-state saving in XGETBV (the standard AVX usability
-// test, matching internal/blas's micro-kernel gate).
+// test). internal/blas gates its AVX2 micro-kernel on the same probe.
 var haveSIMD = detectAVX2FMA()
+
+// haveAVX512 reports whether AVX-512 Foundation instructions may be used:
+// AVX2+FMA as above, AVX512F in CPUID leaf 7, and OS saving of the opmask
+// and full ZMM state in XCR0.
+var haveAVX512 = haveSIMD && detectAVX512F()
 
 func detectAVX2FMA() bool {
 	maxID, _, _, _ := cpuidProbe(0, 0)
@@ -53,6 +58,19 @@ func detectAVX2FMA() bool {
 	_, ebx7, _, _ := cpuidProbe(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
+}
+
+// detectAVX512F assumes detectAVX2FMA passed (leaf 7 exists, OSXSAVE set).
+func detectAVX512F() bool {
+	_, ebx7, _, _ := cpuidProbe(7, 0)
+	const avx512f = 1 << 16
+	if ebx7&avx512f == 0 {
+		return false
+	}
+	// XCR0 bits 1-2 (SSE, AVX) and 5-7 (opmask, ZMM0-15 upper, ZMM16-31).
+	const zmmState = 0xE6
+	xa, _ := xgetbvProbe()
+	return xa&zmmState == zmmState
 }
 
 //go:noescape

@@ -6,6 +6,8 @@ package simd
 // portable lane-ordered fallback, which computes bitwise-identical results.
 var haveSIMD = false
 
+var haveAVX512 = false
+
 func secularSumsAVX(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
 	panic("simd: secularSumsAVX called without assembly support")
 }
